@@ -666,6 +666,10 @@ fn run_explore(
         s.pruned_visited, s.pruned_preemption
     );
     println!(
+        "cut: {} schedules ended at an already-expanded choice point; {} decision points unfingerprinted",
+        s.truncated, s.unfingerprinted
+    );
+    println!(
         "terminals: {} distinct final states, {} stalled, {} budget-exhausted; {} rollbacks verified",
         report.terminal_states.len(),
         s.stalls,
@@ -691,6 +695,8 @@ fn run_explore(
             ("explore_stalls", s.stalls),
             ("explore_budget_exhausted", s.budget_exhausted),
             ("explore_rollbacks", s.rollbacks),
+            ("explore_truncated", s.truncated),
+            ("explore_unfingerprinted", s.unfingerprinted),
             ("explore_terminal_states", report.terminal_states.len() as u64),
             ("explore_failures", report.failures.len() as u64),
             ("explore_capped", s.capped as u64),

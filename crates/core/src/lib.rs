@@ -28,6 +28,8 @@
 //! * [`cost`]     — the virtual-clock cost model used by the simulator,
 //! * [`metrics`]  — counters and small statistics helpers (means,
 //!   confidence intervals) used by the benchmark harness,
+//! * [`fx`]       — the Fx hasher and the maps keyed through it, shared
+//!   by every hot-path map over runtime-generated ids,
 //! * [`governor`] — the adaptive revocation governor (bounded retries,
 //!   exponential backoff, per-monitor fallback to blocking),
 //! * [`delegate`] — combiner handoff rules and completion handles for
@@ -39,6 +41,7 @@
 pub mod cost;
 pub mod deadlock;
 pub mod delegate;
+pub mod fx;
 pub mod governor;
 pub mod metrics;
 pub mod policy;

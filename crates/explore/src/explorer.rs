@@ -22,9 +22,25 @@
 //!   deviations-spent) pair has been expanded before contributes no new
 //!   siblings: the same futures were already scheduled from its first
 //!   visit.
+//!
+//! Dedup also ends runs early. Past its prefix a run takes only default
+//! choices, so once it reaches an expanded choice point its remaining
+//! run is the one the expanding schedule already executed and checked.
+//! The run is cut there ([`Runner::run_until`]) and takes over that
+//! schedule's verdict: terminal kind, terminal fingerprint and failed
+//! flag, kept as one small record per schedule. Both prunes rest on the
+//! same premise — equal fingerprints mean equal futures — so cutting
+//! changes no schedule count, prune count or terminal state. Points
+//! recorded without a fingerprint are never cut at. A cut run whose
+//! inherited verdict is a failure or a budget overrun (or whose own
+//! rounds would overrun the budget, or which already broke an
+//! invariant before the cut) is re-run in full, so the failure
+//! catalogue holds complete outcomes and the budget counts each
+//! schedule's own rounds.
 
 use crate::runner::{RunOutcome, Runner, Terminal};
-use std::collections::HashSet;
+use revmon_core::fx::{FxMap, FxSet};
+use std::collections::hash_map::Entry;
 
 /// Search limits.
 #[derive(Clone, Copy, Debug)]
@@ -48,9 +64,11 @@ impl Default for Bounds {
 /// Search statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
-    /// Schedules fully executed.
+    /// Schedules explored (executed in full, or cut short and credited
+    /// with the verdict of the schedule whose future they joined).
     pub schedules: u64,
-    /// Decision points encountered across all runs.
+    /// Decision points executed across all runs (a cut run counts the
+    /// points up to and including the one it was cut at).
     pub decision_points: u64,
     /// Sibling expansions skipped because the state was already expanded.
     pub pruned_visited: u64,
@@ -60,8 +78,17 @@ pub struct Stats {
     pub stalls: u64,
     /// Runs that hit the per-run round budget.
     pub budget_exhausted: u64,
-    /// Rollbacks verified by the oracle across all runs.
+    /// Rollbacks verified by the oracle across all executed runs.
     pub rollbacks: u64,
+    /// Schedules cut short at an already-expanded choice point whose
+    /// inherited verdict stood (not re-run in full).
+    pub truncated: u64,
+    /// Decision points recorded without a fingerprint (rounds entered
+    /// with fewer than two queued threads). They all share one dedup
+    /// key per deviation count, so the first one expanded hides the
+    /// siblings of the rest — a known completeness gap, see
+    /// `docs/exploration.md`. No run is ever cut at one.
+    pub unfingerprinted: u64,
     /// True when `max_schedules` stopped the search before the frontier
     /// drained — the enumeration is then a *sample*, not a proof.
     pub capped: bool,
@@ -98,13 +125,39 @@ impl ExploreReport {
     }
 }
 
+/// How a schedule ended, kept per schedule so a run cut short at a
+/// choice point can take over the verdict of the schedule that first
+/// expanded it.
+#[derive(Clone, Debug)]
+struct Verdict {
+    terminal: Terminal,
+    fingerprint: u64,
+    failed: bool,
+    /// Rounds the full run takes, to project a cut run's total against
+    /// the per-run round budget.
+    rounds: u64,
+}
+
+impl Verdict {
+    fn of(out: &RunOutcome) -> Self {
+        Verdict {
+            terminal: out.terminal.clone(),
+            fingerprint: out.fingerprint,
+            failed: !out.violations.is_empty(),
+            rounds: out.rounds,
+        }
+    }
+}
+
 /// Exhaustively enumerate schedules of `runner`'s program within
 /// `bounds`.
 pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
     let mut report = ExploreReport::default();
-    let mut terminal_fps: HashSet<u64> = HashSet::new();
-    // (fingerprint at choice point, preemptions spent reaching it).
-    let mut expanded: HashSet<(u64, u32)> = HashSet::new();
+    let mut terminal_fps: FxSet<u64> = FxSet::default();
+    // (fingerprint at choice point, preemptions spent reaching it) →
+    // (schedule that expanded it, its round count there).
+    let mut expanded: FxMap<(u64, u32), (usize, u64)> = FxMap::default();
+    let mut verdicts: Vec<Verdict> = Vec::new();
     let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
 
     while let Some(prefix) = frontier.pop() {
@@ -112,31 +165,73 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
             report.stats.capped = true;
             break;
         }
-        let out = runner.run(&prefix);
+        // Past the prefix every decision is the default, so once the run
+        // reaches an expanded choice point its future is the one the
+        // expanding schedule already executed and checked: cut it there.
+        // A point without a fingerprint has no identity to match on.
+        let mut joined: Option<(usize, u64, u64)> = None;
+        let (mut seen, mut spent) = (0usize, 0u32);
+        let mut out = runner.run_until(&prefix, |dp| {
+            let past_prefix = seen >= prefix.len();
+            seen += 1;
+            let key = (dp.fingerprint, spent);
+            spent += dp.record.is_preemption() as u32;
+            if !past_prefix || dp.fingerprint == 0 {
+                return false;
+            }
+            joined = expanded.get(&key).map(|&(first, at)| (first, at, dp.round));
+            joined.is_some()
+        });
+        let verdict = match joined {
+            None => Verdict::of(&out),
+            Some((first, at, round)) => {
+                let inherited = &verdicts[first];
+                let rounds = round + (inherited.rounds - at);
+                // Round counts are not in the fingerprint, so the budget
+                // check projects this schedule's own total.
+                let rerun = inherited.failed
+                    || inherited.terminal == Terminal::Budget
+                    || (runner.max_rounds != 0 && rounds >= runner.max_rounds)
+                    || !out.violations.is_empty();
+                if rerun {
+                    out = runner.run(&prefix);
+                    Verdict::of(&out)
+                } else {
+                    report.stats.truncated += 1;
+                    Verdict { rounds, ..inherited.clone() }
+                }
+            }
+        };
         report.stats.schedules += 1;
         report.stats.decision_points += out.decisions.len() as u64;
         report.stats.rollbacks += out.rollbacks;
-        match out.terminal {
+        match verdict.terminal {
             Terminal::Stalled => report.stats.stalls += 1,
             Terminal::Budget => report.stats.budget_exhausted += 1,
             Terminal::Completed => {
-                terminal_fps.insert(out.fingerprint);
+                terminal_fps.insert(verdict.fingerprint);
             }
             _ => {}
         }
-        let failed = !out.violations.is_empty();
 
         // Expand siblings of every decision at or past the prefix edge.
         // Decisions inside the prefix were expanded when the ancestor run
         // first passed them.
+        let schedule = verdicts.len();
         let mut preemptions = 0u32;
         for (d, dp) in out.decisions.iter().enumerate() {
             let this_preempts = dp.record.is_preemption() as u32;
+            report.stats.unfingerprinted += (dp.fingerprint == 0) as u64;
             if d >= prefix.len() {
-                if !expanded.insert((dp.fingerprint, preemptions)) {
-                    report.stats.pruned_visited += 1;
-                    preemptions += this_preempts;
-                    continue;
+                match expanded.entry((dp.fingerprint, preemptions)) {
+                    Entry::Occupied(_) => {
+                        report.stats.pruned_visited += 1;
+                        preemptions += this_preempts;
+                        continue;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert((schedule, dp.round));
+                    }
                 }
                 for alt in 0..dp.record.n_candidates {
                     if alt == dp.record.chosen {
@@ -156,6 +251,8 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
             preemptions += this_preempts;
         }
 
+        let failed = verdict.failed;
+        verdicts.push(verdict);
         if failed {
             report.failures.push(Failure { prefix, schedule: out.choices(), outcome: out });
             if bounds.stop_on_first_failure {

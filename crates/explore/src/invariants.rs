@@ -19,12 +19,12 @@
 //! Every violated check becomes a [`Violation`] with a stable name, so
 //! schedule artifacts can assert "this schedule reproduces *that* bug".
 
+use revmon_core::fx::FxMap;
 use revmon_core::ThreadId;
 use revmon_vm::heap::Location;
 use revmon_vm::thread::ThreadState;
 use revmon_vm::value::{ObjRef, Value};
 use revmon_vm::{Probe, Vm};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// A broken invariant, with a stable machine-readable name and a
@@ -286,10 +286,12 @@ pub fn check_terminal(vm: &Vm) -> Vec<Violation> {
 #[derive(Debug)]
 struct Layer {
     mark_len: usize,
-    expected: HashMap<Location, Value>,
+    expected: FxMap<Location, Value>,
 }
 
 /// Shared oracle state, read by the runner after the VM run finishes.
+/// The shadow maps are touched on every logged heap write, so they are
+/// keyed through the Fx hasher rather than SipHash.
 #[derive(Debug, Default)]
 pub struct OracleState {
     /// Violations detected by the probe hooks.
@@ -299,10 +301,10 @@ pub struct OracleState {
     /// Commits observed.
     pub commits: u64,
     /// Per-thread mirror of active section layers.
-    layers: HashMap<ThreadId, Vec<Layer>>,
+    layers: FxMap<ThreadId, Vec<Layer>>,
     /// Mirror of the speculative-write map: location → (writer, value),
     /// plus whether a *different* thread has observed the value.
-    speculative: HashMap<Location, (ThreadId, Value, bool)>,
+    speculative: FxMap<Location, (ThreadId, Value, bool)>,
 }
 
 /// The execution probe that mirrors the write barrier and verifies
@@ -325,7 +327,7 @@ impl Probe for Oracle {
     fn on_section_enter(&mut self, vm: &Vm, tid: ThreadId, _monitor: ObjRef) {
         let mut st = self.state.lock().expect("oracle state");
         let mark_len = vm.vm_threads()[tid.index()].undo.len();
-        st.layers.entry(tid).or_default().push(Layer { mark_len, expected: HashMap::new() });
+        st.layers.entry(tid).or_default().push(Layer { mark_len, expected: FxMap::default() });
     }
 
     fn on_heap_write(
@@ -385,7 +387,7 @@ impl Probe for Oracle {
 
         // Merge expectations outermost-first: the value a location must
         // read after rollback is the *oldest* logged pre-value.
-        let mut expected: HashMap<Location, Value> = HashMap::new();
+        let mut expected: FxMap<Location, Value> = FxMap::default();
         for layer in &undone {
             for (&loc, &old) in &layer.expected {
                 expected.entry(loc).or_insert(old);
@@ -426,7 +428,7 @@ impl Probe for Oracle {
         let mut layers = kept;
         let live_sections = vm.vm_threads()[tid.index()].sections.len();
         while layers.len() < live_sections {
-            layers.push(Layer { mark_len: restored_to, expected: HashMap::new() });
+            layers.push(Layer { mark_len: restored_to, expected: FxMap::default() });
         }
         if !layers.is_empty() {
             st.layers.insert(tid, layers);

@@ -4,9 +4,18 @@
 //! for every schedule (stateless model checking — re-execution instead of
 //! checkpointing), installs a [`Scripted`] policy and the invariant
 //! [`Oracle`], then drives [`Vm::run_round`] one scheduling round at a
-//! time. Before each round it fingerprints the machine; if the round
-//! consumed a scheduling decision (≥ 2 runnable candidates), that
-//! fingerprint identifies the choice point for deduplication.
+//! time. Before each round with ≥ 2 queued threads it fingerprints the
+//! machine; if the round consumed a scheduling decision, that
+//! fingerprint identifies the choice point for deduplication. A round
+//! entered with fewer queued threads can still consume a decision (a
+//! sleeper woken inside the round joins the queue), and such a point is
+//! recorded with fingerprint `0`: it has no identity.
+//!
+//! [`Runner::run_until`] takes a stop hook, consulted after every
+//! recorded choice point; when it answers true the run ends there with
+//! [`Terminal::Cut`]. The explorer uses it to stop a schedule once it
+//! reaches a choice point whose default future it has already executed.
+//! [`Runner::run`] is the run that never stops early.
 
 use crate::invariants::{check_state, check_terminal, Oracle, OracleState, Violation};
 use revmon_vm::bytecode::{MethodId, Program};
@@ -28,6 +37,10 @@ pub enum Terminal {
     CheckFailed,
     /// The VM faulted.
     Fault(String),
+    /// The stop hook of [`Runner::run_until`] ended the run at its last
+    /// recorded choice point; the final-state fields describe the
+    /// machine just after that point's round.
+    Cut,
 }
 
 /// One multi-candidate choice point passed during a run.
@@ -38,6 +51,9 @@ pub struct DecisionPoint {
     pub fingerprint: u64,
     /// What was decided.
     pub record: DecisionRecord,
+    /// Scheduling rounds completed before the round that consumed this
+    /// decision.
+    pub round: u64,
 }
 
 /// Everything observable about one scripted run.
@@ -146,13 +162,24 @@ impl Runner {
     /// Execute the program once under `script`, collecting decisions,
     /// fingerprints and violations.
     pub fn run(&self, script: &[u32]) -> RunOutcome {
+        self.run_until(script, |_| false)
+    }
+
+    /// [`run`](Self::run), but consult `stop` with every choice point as
+    /// it is recorded and end the run with [`Terminal::Cut`] as soon as
+    /// it answers true.
+    pub fn run_until(
+        &self,
+        script: &[u32],
+        stop: impl FnMut(&DecisionPoint) -> bool,
+    ) -> RunOutcome {
         let mut vm = Vm::new(self.program.clone(), self.config);
         let (policy, log) = Scripted::new(script.to_vec());
         vm.set_schedule_policy(Box::new(policy));
         let (oracle, oracle_state) = Oracle::new();
         vm.attach_probe(Box::new(oracle));
         vm.spawn(&self.entry_name, self.entry, vec![], revmon_core::Priority::NORM);
-        self.drive(vm, log, oracle_state)
+        self.drive(vm, log, oracle_state, stop)
     }
 
     fn drive(
@@ -160,6 +187,7 @@ impl Runner {
         mut vm: Vm,
         log: revmon_vm::sched::ScriptLog,
         oracle_state: Arc<Mutex<OracleState>>,
+        mut stop: impl FnMut(&DecisionPoint) -> bool,
     ) -> RunOutcome {
         let mut decisions: Vec<DecisionPoint> = Vec::new();
         let mut violations: Vec<Violation> = Vec::new();
@@ -175,12 +203,17 @@ impl Runner {
                 Err(VmError::Stalled(_)) => break Terminal::Stalled,
                 Err(e) => break Terminal::Fault(e.to_string()),
             }
-            {
+            let decided = {
                 let recs = log.lock().expect("script log");
-                if recs.len() > consumed_before {
-                    debug_assert_eq!(recs.len(), consumed_before + 1);
-                    decisions.push(DecisionPoint { fingerprint, record: recs[consumed_before] });
-                }
+                debug_assert!(recs.len() <= consumed_before + 1);
+                recs.get(consumed_before).map(|&record| DecisionPoint {
+                    fingerprint,
+                    record,
+                    round: rounds,
+                })
+            };
+            if let Some(dp) = decided {
+                decisions.push(dp);
             }
             if self.check_every_round {
                 let vs = check_state(&vm);
@@ -190,6 +223,9 @@ impl Runner {
                 }
             }
             rounds += 1;
+            if decided.is_some_and(|dp| stop(&dp)) {
+                break Terminal::Cut;
+            }
             if self.max_rounds != 0 && rounds >= self.max_rounds {
                 break Terminal::Budget;
             }

@@ -18,12 +18,17 @@
 //! entry queues with queued-at priorities, wait sets, ceilings, sticky
 //! flags, pending delegated submissions and drain counts), the live JMM
 //! speculative-write map, and the delegation token counter plus banked
-//! results (tokens are program-visible values).
+//! results (tokens are program-visible values). Two pieces of state are
+//! hashed only in the configuration where they steer the future, so
+//! default-config fingerprints (and legacy `.schedule.json` replays)
+//! keep their historical values: the governor's per-pair streak and
+//! backoff state when a governor is enabled, and the next background
+//! scan's due time when detection is `Background`.
 //!
 //! What is deliberately **excluded**: metrics counters, peak-queue /
 //! acquire / contention statistics, trace buffers, timing bookkeeping
-//! (`steps`, `next_background_scan`, `quantum_left` is derived from the
-//! dispatch loop), and — crucially — section **acquisition ids**. Acq ids
+//! (`steps`, `quantum_left` is derived from the dispatch loop), and —
+//! crucially — section **acquisition ids**. Acq ids
 //! come from a global counter whose value depends on *how many* monitor
 //! entries happened along the path, so two different interleavings that
 //! converge to the same logical state would differ spuriously. A pending
@@ -33,7 +38,7 @@
 
 use crate::thread::ThreadState;
 use crate::vm::Vm;
-use revmon_core::{LogMark, UndoLog};
+use revmon_core::{DetectionStrategy, LogMark, UndoLog};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -205,6 +210,14 @@ impl Vm {
             (w.log_pos as u64).hash(&mut h);
         }
 
+        // Configuration-gated state (see the module docs).
+        if self.config.governor.enabled() {
+            self.governor.hash_state(&mut h);
+        }
+        if let DetectionStrategy::Background { .. } = self.config.detection {
+            self.next_background_scan.hash(&mut h);
+        }
+
         h.finish()
     }
 }
@@ -258,9 +271,13 @@ fn hash_snapshot<H: Hasher>(s: &Option<crate::thread::Snapshot>, h: &mut H) {
 mod tests {
     use crate::builder::{MethodBuilder, ProgramBuilder};
     use crate::vm::{Vm, VmConfig};
-    use revmon_core::Priority;
+    use revmon_core::{DetectionStrategy, GovernorConfig, Priority};
 
     fn fresh_vm() -> Vm {
+        fresh_vm_with(VmConfig::modified())
+    }
+
+    fn fresh_vm_with(config: VmConfig) -> Vm {
         let mut pb = ProgramBuilder::new();
         pb.statics(1);
         let main = pb.declare_method("main", 0);
@@ -269,7 +286,7 @@ mod tests {
         b.put_static(0);
         b.ret_void();
         pb.implement(main, b);
-        let mut vm = Vm::new(pb.finish(), VmConfig::modified());
+        let mut vm = Vm::new(pb.finish(), config);
         vm.spawn("main", main, vec![], Priority::NORM);
         vm
     }
@@ -287,6 +304,37 @@ mod tests {
         let before = vm.state_fingerprint();
         vm.run().unwrap();
         assert_ne!(before, vm.state_fingerprint());
+    }
+
+    #[test]
+    fn governor_history_is_part_of_a_governed_fingerprint() {
+        let governed = GovernorConfig { k: 1, backoff: 64, decay: 0 };
+        let a = fresh_vm_with(VmConfig::modified().with_governor(governed));
+        let mut b = fresh_vm_with(VmConfig::modified().with_governor(governed));
+        b.governor.record_revocation(governed, 1, 0, 0, 1, 1);
+        assert_ne!(a.state_fingerprint(), b.state_fingerprint());
+
+        // Ungoverned, the (then inert) history stays out of the hash.
+        let c = fresh_vm();
+        let mut d = fresh_vm();
+        d.governor.record_revocation(governed, 1, 0, 0, 1, 1);
+        assert_eq!(c.state_fingerprint(), d.state_fingerprint());
+    }
+
+    #[test]
+    fn background_scan_deadline_is_part_of_a_background_fingerprint() {
+        let mut background = VmConfig::modified();
+        background.detection = DetectionStrategy::Background { period: 500 };
+        let a = fresh_vm_with(background);
+        let mut b = fresh_vm_with(background);
+        b.next_background_scan = a.next_background_scan + 500;
+        assert_ne!(a.state_fingerprint(), b.state_fingerprint());
+
+        // Detecting at acquisition, the deadline is never read.
+        let c = fresh_vm();
+        let mut d = fresh_vm();
+        d.next_background_scan = 500;
+        assert_eq!(c.state_fingerprint(), d.state_fingerprint());
     }
 
     #[test]
