@@ -78,21 +78,100 @@ fn usage() -> String {
     "usage: revmon <run|explore|dis|verify> <file.rvm> [options]\n       revmon analyze <trace.jsonl> [--json] [--prometheus out.prom] [--flame out.folded]\n       revmon demo [options]\n       revmon serve [--addr HOST:PORT] [options]\n       see crate docs for the option list".into()
 }
 
+/// Options taking a value that configure the VM (`run` and `explore`).
+const VM_OPTS: &[&str] = &[
+    "--config",
+    "--policy",
+    "--sched",
+    "--queue",
+    "--detect",
+    "--seed",
+    "--quantum",
+    "--max-steps",
+    "--cores",
+    "--governor",
+];
+/// Bare flags that configure the VM (`run` and `explore`).
+const VM_FLAGS: &[&str] = &["--elide", "--sticky", "--trace"];
+/// Observability outputs shared by `run` and `demo`.
+const OBS_OPTS: &[&str] = &[
+    "--trace-out",
+    "--chrome-trace",
+    "--metrics-json",
+    "--prometheus",
+    "--flame",
+    "--trace-sample",
+];
+
+/// Accepted options of each subcommand: (options taking a value, bare
+/// flags).
+fn accepted(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    let (opts, flags): (Vec<&[&str]>, Vec<&[&str]>) = match cmd {
+        "run" => (vec![VM_OPTS, OBS_OPTS, &["--entry"]], vec![VM_FLAGS, &["--stats"]]),
+        "explore" => (
+            vec![
+                VM_OPTS,
+                &[
+                    "--entry",
+                    "--max-preemptions",
+                    "--max-schedules",
+                    "--max-rounds",
+                    "--fuzz-iters",
+                    "--fuzz-seed",
+                    "--fuzz-len",
+                    "--replay",
+                    "--save-failure",
+                    "--fault-skip-undo",
+                    "--metrics-json",
+                ],
+            ],
+            vec![VM_FLAGS, &["--all-failures", "--minimize", "--stats"]],
+        ),
+        "demo" => (
+            vec![OBS_OPTS, &["--low", "--high", "--sections", "--cores"]],
+            vec![&["--stats", "--watch"]],
+        ),
+        "analyze" => (vec![&["--prometheus", "--flame"]], vec![&["--json"]]),
+        "serve" => (
+            vec![&["--addr", "--low", "--high", "--max-requests", "--trace-sample"]],
+            vec![&["--no-workload"]],
+        ),
+        "dis" | "verify" => (vec![], vec![&["--rewrite"]]),
+        _ => return None,
+    };
+    Some((opts.concat(), flags.concat()))
+}
+
+/// Reject any option `cmd` does not accept: a mistyped flag must not
+/// silently fall back to a default.
+fn check_opts(cmd: &str, opts: &[String]) -> Result<(), String> {
+    let (with_value, bare) =
+        accepted(cmd).ok_or_else(|| format!("unknown command `{cmd}`\n{}", usage()))?;
+    let mut rest = opts.iter();
+    while let Some(o) = rest.next() {
+        if with_value.contains(&o.as_str()) {
+            rest.next(); // its value (absent: reported by the option's parser)
+        } else if !bare.contains(&o.as_str()) {
+            return Err(format!("unknown option `{o}` for `{cmd}`\n{}", usage()));
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().ok_or_else(usage)?;
-    if cmd == "demo" {
-        return run_demo(&args[1..]);
-    }
-    if cmd == "serve" {
-        return serve::run_serve(&args[1..]);
+    if cmd == "demo" || cmd == "serve" {
+        check_opts(cmd, &args[1..])?;
+        return if cmd == "demo" { run_demo(&args[1..]) } else { serve::run_serve(&args[1..]) };
     }
     let file = args.get(1).ok_or_else(usage)?;
+    let opts = &args[2..];
+    check_opts(cmd, opts)?;
     if cmd == "analyze" {
-        return run_analyze(file, &args[2..]);
+        return run_analyze(file, opts);
     }
     let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let program = assemble(&src).map_err(|e| format!("{file}: {e}"))?;
-    let opts = &args[2..];
 
     match cmd.as_str() {
         "dis" => {
@@ -666,8 +745,9 @@ fn run_explore(
         s.pruned_visited, s.pruned_preemption
     );
     println!(
-        "cut: {} schedules ended at an already-expanded choice point; {} decision points unfingerprinted",
-        s.truncated, s.unfingerprinted
+        "cut: {} schedules ended at an already-expanded choice point; {} decision points unfingerprinted; \
+         {} schedules resumed from {} snapshots",
+        s.truncated, s.unfingerprinted, s.resumed, s.snapshots
     );
     println!(
         "terminals: {} distinct final states, {} stalled, {} budget-exhausted; {} rollbacks verified",
@@ -697,6 +777,8 @@ fn run_explore(
             ("explore_rollbacks", s.rollbacks),
             ("explore_truncated", s.truncated),
             ("explore_unfingerprinted", s.unfingerprinted),
+            ("explore_resumed", s.resumed),
+            ("explore_snapshots", s.snapshots),
             ("explore_terminal_states", report.terminal_states.len() as u64),
             ("explore_failures", report.failures.len() as u64),
             ("explore_capped", s.capped as u64),

@@ -92,6 +92,27 @@ fn unknown_flags_and_files_fail_cleanly() {
 }
 
 #[test]
+fn mistyped_option_is_a_usage_error() {
+    // A typo must not fall back to the option's default (here: search
+    // at preemption bound 2 and exit 0).
+    let out =
+        bin().args(["explore", &program("counter.rvm"), "--max-premptions", "0"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--max-premptions`"), "stderr: {stderr}");
+    assert!(stderr.contains("usage:"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    // Options of another subcommand are rejected too.
+    let out = bin().args(["dis", &program("counter.rvm"), "--stats"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let out = bin()
+        .args(["explore", &program("counter.rvm"), "--max-preemptions", "0"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "the correct spelling is accepted");
+}
+
+#[test]
 fn trace_flag_prints_monitor_events() {
     let out = bin().args(["run", &program("priority_inversion.rvm"), "--trace"]).output().unwrap();
     assert!(out.status.success());

@@ -52,7 +52,7 @@ pub struct Victim {
 /// let cycle = g.find_any_cycle().expect("deadlock");
 /// assert_eq!(cycle.len(), 2);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct WaitsForGraph {
     /// waiter -> (monitor, owner)
     edges: HashMap<ThreadId, (MonitorId, ThreadId)>,

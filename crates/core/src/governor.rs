@@ -107,7 +107,7 @@ struct PairState {
 /// order-independent reductions, and anything that *lists* pairs goes
 /// through the sorted [`history`](Self::history) view, which the
 /// schedule explorer's determinism relies on.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Governor {
     pairs: FxMap<(u64, u64), PairState>,
     throttles: u64,

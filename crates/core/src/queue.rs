@@ -50,7 +50,7 @@ const CLASSES: usize = 11;
 /// A slab node: the queued item plus the priority it queued at, an
 /// arrival sequence number (FIFO-within-class and stable-FIFO witness),
 /// and intrusive links for the class list and the arrival list.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node<T> {
     /// `Some` while queued; taken on removal (the slot then sits on the
     /// free chain, linked through `next`).
@@ -89,7 +89,7 @@ impl Default for Ends {
 /// assert_eq!(q.pop(), Some("high")); // high-priority waiters first
 /// assert_eq!(q.pop(), Some("low"));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PrioritizedQueue<T> {
     nodes: Vec<Node<T>>,
     /// Head of the free-slot chain (through `next`).

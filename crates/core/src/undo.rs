@@ -13,6 +13,8 @@
 //! *inside* the rolled-back one are naturally included, which is required
 //! because the rollback re-executes the inner sections too.
 
+use std::sync::Arc;
+
 /// A position in an [`UndoLog`], taken at `monitorenter`.
 ///
 /// Ordering follows log positions: a mark taken earlier is `<` a mark
@@ -30,6 +32,16 @@ impl LogMark {
 
 /// A sequential undo buffer with O(1) append and reverse drain.
 ///
+/// The buffer is a list of frozen, reference-counted chunks of
+/// [`CHUNK`](Self::CHUNK) entries plus a private tail holding the newest
+/// entries (always fewer than `CHUNK` between calls). Appending touches
+/// only the tail; when it fills it is frozen onto the chunk list.
+/// Cloning a log therefore shares every frozen chunk and copies at most
+/// one chunk's worth of tail — what lets the schedule explorer snapshot
+/// a machine in the middle of a long section without copying its whole
+/// log. A chunk is copied again only when one side of a clone rolls back
+/// or commits into it while the other side still holds it.
+///
 /// ```
 /// use revmon_core::UndoLog;
 ///
@@ -43,18 +55,41 @@ impl LogMark {
 /// ```
 #[derive(Debug)]
 pub struct UndoLog<E> {
-    entries: Vec<E>,
-    /// High-water mark, for metrics.
+    /// Full chunks, oldest first, each exactly `CHUNK` entries long.
+    chunks: Vec<Arc<Vec<E>>>,
+    /// The newest `len % CHUNK` entries, owned by this log alone.
+    tail: Vec<E>,
+    /// An emptied chunk buffer kept for the next freeze, so a log that
+    /// repeatedly grows and drains across chunk boundaries reuses its
+    /// buffers instead of reallocating them.
+    spare: Vec<E>,
+    /// High-water mark as of the last shrink; [`peak`](Self::peak)
+    /// folds in the current length, so `push` need not track it.
     peak: usize,
 }
 
 impl<E> Default for UndoLog<E> {
     fn default() -> Self {
-        UndoLog { entries: Vec::new(), peak: 0 }
+        UndoLog { chunks: Vec::new(), tail: Vec::new(), spare: Vec::new(), peak: 0 }
+    }
+}
+
+impl<E: Clone> Clone for UndoLog<E> {
+    /// Shares the frozen chunks; copies only the tail.
+    fn clone(&self) -> Self {
+        UndoLog {
+            chunks: self.chunks.clone(),
+            tail: self.tail.clone(),
+            spare: Vec::new(),
+            peak: self.peak,
+        }
     }
 }
 
 impl<E> UndoLog<E> {
+    /// Entries per frozen chunk: the most a clone copies.
+    pub const CHUNK: usize = 256;
+
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
@@ -63,44 +98,76 @@ impl<E> UndoLog<E> {
     /// Record one update. Called from the write-barrier slow path.
     #[inline]
     pub fn push(&mut self, entry: E) {
-        self.entries.push(entry);
-        if self.entries.len() > self.peak {
-            self.peak = self.entries.len();
+        self.tail.push(entry);
+        if self.tail.len() == Self::CHUNK {
+            self.freeze();
         }
+    }
+
+    /// Move the full tail onto the chunk list.
+    #[cold]
+    #[inline(never)]
+    fn freeze(&mut self) {
+        let mut next = std::mem::take(&mut self.spare);
+        next.reserve_exact(Self::CHUNK);
+        let full = std::mem::replace(&mut self.tail, next);
+        self.chunks.push(Arc::new(full));
     }
 
     /// Take a mark at the current position (at `monitorenter`).
     pub fn mark(&self) -> LogMark {
-        LogMark(self.entries.len())
+        LogMark(self.len())
     }
 
     /// Number of entries currently in the log.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chunks.len() * Self::CHUNK + self.tail.len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.chunks.is_empty() && self.tail.is_empty()
     }
 
     /// Largest size the log ever reached.
     pub fn peak(&self) -> usize {
-        self.peak
+        self.peak.max(self.len())
     }
 
     /// Entries recorded since `mark`, in log order.
-    pub fn since(&self, mark: LogMark) -> &[E] {
-        &self.entries[mark.0.min(self.entries.len())..]
+    pub fn since(&self, mark: LogMark) -> impl Iterator<Item = &E> + '_ {
+        let start = mark.0.min(self.len());
+        self.chunks[start / Self::CHUNK..]
+            .iter()
+            .map(|c| c.as_slice())
+            .chain(std::iter::once(self.tail.as_slice()))
+            .flatten()
+            .skip(start % Self::CHUNK)
     }
 
+    /// Drop everything (thread termination).
+    pub fn clear(&mut self) {
+        self.peak = self.peak();
+        self.chunks.clear();
+        self.tail.clear();
+    }
+}
+
+impl<E: Clone> UndoLog<E> {
     /// Roll back to `mark`: invoke `restore` on each entry **newest
     /// first** (the paper processes the log in reverse), removing them.
     pub fn rollback_to(&mut self, mark: LogMark, mut restore: impl FnMut(E)) {
-        let cut = mark.0.min(self.entries.len());
-        while self.entries.len() > cut {
-            let e = self.entries.pop().expect("len > cut implies non-empty");
-            restore(e);
+        self.peak = self.peak();
+        let cut = mark.0.min(self.len());
+        while self.len() > cut {
+            if self.tail.is_empty() {
+                let chunk = self.chunks.pop().expect("entries beyond the tail are frozen");
+                self.thaw(chunk, Self::CHUNK);
+            }
+            let keep = self.tail.len().saturating_sub(self.len() - cut);
+            for e in self.tail.drain(keep..).rev() {
+                restore(e);
+            }
         }
     }
 
@@ -109,13 +176,41 @@ impl<E> UndoLog<E> {
     /// sections keep their entries: only when the outermost monitor exits
     /// can the updates no longer be revoked.
     pub fn commit_to(&mut self, mark: LogMark) {
-        let cut = mark.0.min(self.entries.len());
-        self.entries.truncate(cut);
+        self.peak = self.peak();
+        let cut = mark.0.min(self.len());
+        let (whole, rest) = (cut / Self::CHUNK, cut % Self::CHUNK);
+        if whole == self.chunks.len() {
+            self.tail.truncate(rest);
+            return;
+        }
+        // The cut falls inside a frozen chunk: drop the chunks above it
+        // and make the part of that chunk below the cut the tail.
+        self.chunks.truncate(whole + 1);
+        let chunk = self.chunks.pop().expect("whole < chunks.len()");
+        self.thaw(chunk, rest);
     }
 
-    /// Drop everything (thread termination).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Make the first `keep` entries of a frozen chunk the tail: the
+    /// chunk's own buffer when no clone shares it, else a copy. The old
+    /// tail's buffer becomes the spare.
+    fn thaw(&mut self, chunk: Arc<Vec<E>>, keep: usize) {
+        let tail = match Arc::try_unwrap(chunk) {
+            Ok(mut v) => {
+                v.truncate(keep);
+                v
+            }
+            Err(shared) => {
+                let mut v = std::mem::take(&mut self.spare);
+                v.reserve_exact(Self::CHUNK);
+                v.extend_from_slice(&shared[..keep]);
+                v
+            }
+        };
+        let mut old = std::mem::replace(&mut self.tail, tail);
+        old.clear();
+        if self.spare.capacity() == 0 {
+            self.spare = old;
+        }
     }
 }
 
@@ -191,7 +286,7 @@ mod tests {
         let m = log.mark();
         log.push(2);
         log.push(3);
-        assert_eq!(log.since(m), &[2, 3]);
+        assert_eq!(log.since(m).copied().collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]

@@ -75,6 +75,121 @@ proptest! {
     }
 }
 
+/// The chunked log against a plain `Vec` model: one operation per
+/// `(op, arg)` pair, with long pushes so runs cross chunk boundaries.
+/// `marks` are positions taken by `mark()` on both sides.
+struct LogModel {
+    log: UndoLog<u32>,
+    model: Vec<u32>,
+    peak: usize,
+    marks: Vec<revmon_core::LogMark>,
+    next: u32,
+}
+
+impl LogModel {
+    fn new() -> Self {
+        LogModel { log: UndoLog::new(), model: Vec::new(), peak: 0, marks: Vec::new(), next: 0 }
+    }
+
+    fn fork(&self) -> Self {
+        LogModel {
+            log: self.log.clone(),
+            model: self.model.clone(),
+            peak: self.peak,
+            marks: self.marks.clone(),
+            // Distinct values on each side of a fork.
+            next: self.next + 1_000_000,
+        }
+    }
+
+    fn mark_at(&self, arg: usize) -> Option<revmon_core::LogMark> {
+        (!self.marks.is_empty()).then(|| self.marks[arg % self.marks.len()])
+    }
+
+    fn apply(&mut self, op: u8, arg: usize) {
+        let chunk = UndoLog::<u32>::CHUNK;
+        match op {
+            // Push a run of up to 1.5 chunks.
+            0 | 1 => {
+                for _ in 0..arg % (chunk + chunk / 2) {
+                    self.log.push(self.next);
+                    self.model.push(self.next);
+                    self.next += 1;
+                }
+                self.peak = self.peak.max(self.model.len());
+            }
+            2 => {
+                let m = self.log.mark();
+                prop_assert_eq!(m.position(), self.model.len());
+                self.marks.push(m);
+            }
+            3 => {
+                if let Some(m) = self.mark_at(arg) {
+                    let cut = m.position().min(self.model.len());
+                    let mut restored = Vec::new();
+                    self.log.rollback_to(m, |e| restored.push(e));
+                    let mut expect = self.model.split_off(cut);
+                    expect.reverse();
+                    prop_assert_eq!(restored, expect);
+                }
+            }
+            4 => {
+                if let Some(m) = self.mark_at(arg) {
+                    self.log.commit_to(m);
+                    self.model.truncate(m.position().min(self.model.len()));
+                }
+            }
+            _ => {
+                if let Some(m) = self.mark_at(arg) {
+                    let since: Vec<u32> = self.log.since(m).copied().collect();
+                    prop_assert_eq!(&since[..], &self.model[m.position().min(self.model.len())..]);
+                }
+            }
+        }
+        self.check();
+    }
+
+    fn check(&self) {
+        prop_assert_eq!(self.log.len(), self.model.len());
+        prop_assert_eq!(self.log.is_empty(), self.model.is_empty());
+        prop_assert_eq!(self.log.peak(), self.peak);
+        let all: Vec<u32> = self.log.since(UndoLog::<u32>::new().mark()).copied().collect();
+        prop_assert_eq!(&all, &self.model);
+    }
+}
+
+type Ops = Vec<(u8, usize)>;
+
+fn ops() -> impl Strategy<Value = Ops> {
+    proptest::collection::vec((0u8..6, 0usize..1000), 0..24)
+}
+
+proptest! {
+    /// The chunked log behaves exactly like a plain vector under any
+    /// sequence of push / mark / rollback / commit / since, across chunk
+    /// boundaries; and a clone is independent: after a fork both sides
+    /// run different operations (thawing and truncating the chunks they
+    /// share) and each still matches its own model.
+    #[test]
+    fn undo_log_matches_vec_model_across_clones(
+        before in ops(),
+        left in ops(),
+        right in ops(),
+    ) {
+        let mut a = LogModel::new();
+        for &(op, arg) in &before { a.apply(op, arg); }
+        let mut b = a.fork();
+        // Interleave so each side mutates while the other still holds
+        // the shared chunks.
+        for i in 0..left.len().max(right.len()) {
+            if let Some(&(op, arg)) = left.get(i) { a.apply(op, arg); }
+            if let Some(&(op, arg)) = right.get(i) { b.apply(op, arg); }
+        }
+        a.check();
+        b.check();
+    }
+}
+
 // ---------------------------------------------------- PrioritizedQueue
 
 proptest! {

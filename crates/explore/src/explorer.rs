@@ -23,10 +23,24 @@
 //!   siblings: the same futures were already scheduled from its first
 //!   visit.
 //!
+//! Siblings do not replay their shared prefix. A run snapshots the
+//! machine (VM, oracle state, choice points so far) just before the round of each choice point it
+//! will expand — past its prefix, at a key not yet expanded, with
+//! deviation budget left for a sibling — and every sibling of that point
+//! resumes from the one snapshot, the last of them taking it over
+//! instead of forking it. A point recorded without a fingerprint gets no
+//! snapshot (its round was not expected to decide anything); its
+//! siblings resume from the snapshot their parent run started from.
+//! Snapshots live only as long as a frontier entry refers to them, so
+//! the depth-first frontier bounds how many exist at once, and each one
+//! shares the program and the undo logs' frozen chunks with the machine
+//! it was forked from: what it adds is the heap, the thread states and
+//! at most one undo-log chunk per thread.
+//!
 //! Dedup also ends runs early. Past its prefix a run takes only default
 //! choices, so once it reaches an expanded choice point its remaining
 //! run is the one the expanding schedule already executed and checked.
-//! The run is cut there ([`Runner::run_until`]) and takes over that
+//! The run is cut there (by the run's stop hook) and takes over that
 //! schedule's verdict: terminal kind, terminal fingerprint and failed
 //! flag, kept as one small record per schedule. Both prunes rest on the
 //! same premise — equal fingerprints mean equal futures — so cutting
@@ -34,13 +48,14 @@
 //! recorded without a fingerprint are never cut at. A cut run whose
 //! inherited verdict is a failure or a budget overrun (or whose own
 //! rounds would overrun the budget, or which already broke an
-//! invariant before the cut) is re-run in full, so the failure
-//! catalogue holds complete outcomes and the budget counts each
-//! schedule's own rounds.
+//! invariant before the cut) is re-run in full from the root snapshot,
+//! so the failure catalogue holds complete outcomes and the budget
+//! counts each schedule's own rounds.
 
-use crate::runner::{RunOutcome, Runner, Terminal};
+use crate::runner::{DecisionPoint, Hooks, RunOutcome, Runner, Snapshot, Terminal};
 use revmon_core::fx::{FxMap, FxSet};
 use std::collections::hash_map::Entry;
+use std::rc::Rc;
 
 /// Search limits.
 #[derive(Clone, Copy, Debug)]
@@ -67,8 +82,9 @@ pub struct Stats {
     /// Schedules explored (executed in full, or cut short and credited
     /// with the verdict of the schedule whose future they joined).
     pub schedules: u64,
-    /// Decision points executed across all runs (a cut run counts the
-    /// points up to and including the one it was cut at).
+    /// Decision points on the explored schedules (a cut run counts the
+    /// points up to and including the one it was cut at; a resumed run
+    /// also counts those its snapshot had already passed).
     pub decision_points: u64,
     /// Sibling expansions skipped because the state was already expanded.
     pub pruned_visited: u64,
@@ -89,6 +105,11 @@ pub struct Stats {
     /// siblings of the rest — a known completeness gap, see
     /// `docs/exploration.md`. No run is ever cut at one.
     pub unfingerprinted: u64,
+    /// Schedules started from a snapshot taken inside an earlier run
+    /// rather than from the root, skipping the replay of their prefix.
+    pub resumed: u64,
+    /// Machine snapshots taken for siblings to resume from.
+    pub snapshots: u64,
     /// True when `max_schedules` stopped the search before the frontier
     /// drained — the enumeration is then a *sample*, not a proof.
     pub capped: bool,
@@ -149,6 +170,75 @@ impl Verdict {
     }
 }
 
+/// A schedule waiting to run: its decision prefix and the snapshot it
+/// resumes from (shared by all siblings of one choice point).
+struct Pending {
+    prefix: Vec<u32>,
+    from: Rc<Snapshot>,
+}
+
+/// The explorer's [`Hooks`] for one run: snapshot before the rounds of
+/// choice points this run will expand, and cut at the first expanded
+/// one past the prefix.
+struct Steer<'a> {
+    expanded: &'a FxMap<(u64, u32), (usize, u64)>,
+    prefix_len: usize,
+    max_preemptions: u32,
+    /// Whether the run may be cut (not when re-run in full).
+    cut: bool,
+    /// Choice points recorded so far, and the deviations among them.
+    seen: usize,
+    spent: u32,
+    /// Where the run was cut: the expanding schedule, its round at the
+    /// shared choice point, and this run's round there.
+    joined: Option<(usize, u64, u64)>,
+}
+
+impl<'a> Steer<'a> {
+    fn new(
+        expanded: &'a FxMap<(u64, u32), (usize, u64)>,
+        prefix: &[u32],
+        from: &Snapshot,
+        max_preemptions: u32,
+        cut: bool,
+    ) -> Self {
+        let skipped = &prefix[..from.decided()];
+        Steer {
+            expanded,
+            prefix_len: prefix.len(),
+            max_preemptions,
+            cut,
+            seen: skipped.len(),
+            spent: skipped.iter().filter(|&&c| c != 0).count() as u32,
+            joined: None,
+        }
+    }
+}
+
+impl Hooks for Steer<'_> {
+    fn snapshot(&mut self, fingerprint: u64) -> bool {
+        self.seen >= self.prefix_len
+            && self.spent < self.max_preemptions
+            && !self.expanded.contains_key(&(fingerprint, self.spent))
+    }
+
+    fn stop(&mut self, dp: &DecisionPoint) -> bool {
+        let past_prefix = self.seen >= self.prefix_len;
+        self.seen += 1;
+        let key = (dp.fingerprint, self.spent);
+        self.spent += dp.record.is_preemption() as u32;
+        // Past the prefix every decision is the default, so once the run
+        // reaches an expanded choice point its future is the one the
+        // expanding schedule already executed and checked: cut it there.
+        // A point without a fingerprint has no identity to match on.
+        if !self.cut || !past_prefix || dp.fingerprint == 0 {
+            return false;
+        }
+        self.joined = self.expanded.get(&key).map(|&(first, at)| (first, at, dp.round));
+        self.joined.is_some()
+    }
+}
+
 /// Exhaustively enumerate schedules of `runner`'s program within
 /// `bounds`.
 pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
@@ -158,31 +248,25 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
     // (schedule that expanded it, its round count there).
     let mut expanded: FxMap<(u64, u32), (usize, u64)> = FxMap::default();
     let mut verdicts: Vec<Verdict> = Vec::new();
-    let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
+    let root = runner.root();
+    let mut frontier = vec![Pending { prefix: Vec::new(), from: Rc::clone(&root) }];
 
-    while let Some(prefix) = frontier.pop() {
+    while let Some(Pending { prefix, from }) = frontier.pop() {
         if bounds.max_schedules != 0 && report.stats.schedules >= bounds.max_schedules {
             report.stats.capped = true;
             break;
         }
-        // Past the prefix every decision is the default, so once the run
-        // reaches an expanded choice point its future is the one the
-        // expanding schedule already executed and checked: cut it there.
-        // A point without a fingerprint has no identity to match on.
-        let mut joined: Option<(usize, u64, u64)> = None;
-        let (mut seen, mut spent) = (0usize, 0u32);
-        let mut out = runner.run_until(&prefix, |dp| {
-            let past_prefix = seen >= prefix.len();
-            seen += 1;
-            let key = (dp.fingerprint, spent);
-            spent += dp.record.is_preemption() as u32;
-            if !past_prefix || dp.fingerprint == 0 {
-                return false;
-            }
-            joined = expanded.get(&key).map(|&(first, at)| (first, at, dp.round));
-            joined.is_some()
-        });
-        let verdict = match joined {
+        // Siblings of a point without a fingerprint resume from the
+        // snapshot this run starts from. All such points share one key
+        // per deviation count, so only the first few runs can expand
+        // one; the others hand their snapshot over instead of keeping it.
+        let keep_start = (0..bounds.max_preemptions).any(|s| !expanded.contains_key(&(0, s)));
+        let mut start = keep_start.then(|| Rc::clone(&from));
+        report.stats.resumed += !Rc::ptr_eq(&from, &root) as u64;
+        let mut steer = Steer::new(&expanded, &prefix, &from, bounds.max_preemptions, true);
+        let (mut out, mut snapshots) = runner.resume(from, &prefix, &mut steer);
+        report.stats.snapshots += snapshots.len() as u64;
+        let verdict = match steer.joined {
             None => Verdict::of(&out),
             Some((first, at, round)) => {
                 let inherited = &verdicts[first];
@@ -194,7 +278,11 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
                     || (runner.max_rounds != 0 && rounds >= runner.max_rounds)
                     || !out.violations.is_empty();
                 if rerun {
-                    out = runner.run(&prefix);
+                    let mut full =
+                        Steer::new(&expanded, &prefix, &root, bounds.max_preemptions, false);
+                    (out, snapshots) = runner.resume(Rc::clone(&root), &prefix, &mut full);
+                    report.stats.snapshots += snapshots.len() as u64;
+                    start = keep_start.then(|| Rc::clone(&root));
                     Verdict::of(&out)
                 } else {
                     report.stats.truncated += 1;
@@ -218,10 +306,12 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
         // Decisions inside the prefix were expanded when the ancestor run
         // first passed them.
         let schedule = verdicts.len();
+        let mut snapshots = snapshots.into_iter().peekable();
         let mut preemptions = 0u32;
         for (d, dp) in out.decisions.iter().enumerate() {
             let this_preempts = dp.record.is_preemption() as u32;
             report.stats.unfingerprinted += (dp.fingerprint == 0) as u64;
+            let taken = snapshots.next_if(|&(at, _)| at == d).map(|(_, snap)| snap);
             if d >= prefix.len() {
                 match expanded.entry((dp.fingerprint, preemptions)) {
                     Entry::Occupied(_) => {
@@ -242,10 +332,15 @@ pub fn explore(runner: &Runner, bounds: Bounds) -> ExploreReport {
                         report.stats.pruned_preemption += 1;
                         continue;
                     }
+                    debug_assert!(taken.is_some() || dp.fingerprint == 0);
+                    let from = taken
+                        .as_ref()
+                        .or(start.as_ref())
+                        .expect("a snapshot precedes every choice point with siblings left to run");
                     let mut next: Vec<u32> =
                         out.decisions[..d].iter().map(|p| p.record.chosen).collect();
                     next.push(alt);
-                    frontier.push(next);
+                    frontier.push(Pending { prefix: next, from: Rc::clone(from) });
                 }
             }
             preemptions += this_preempts;
@@ -293,6 +388,20 @@ mod tests {
         );
         assert!(s2.stats.schedules >= s1.stats.schedules);
         assert!(s1.stats.pruned_preemption > 0, "bound 0 must prune preemptive siblings");
+    }
+
+    #[test]
+    fn siblings_resume_from_snapshots_within_the_budget() {
+        let runner = testprogs::two_incrementers(2);
+        let report = explore(&runner, Bounds::default());
+        let s = report.stats;
+        assert!(s.snapshots > 0 && s.resumed > 0, "{s:?}");
+        // Every schedule but the root one starts from a snapshot: the
+        // program has no point without a fingerprint to replay from.
+        assert_eq!((s.unfingerprinted, s.resumed), (0, s.schedules - 1), "{s:?}");
+        // No budget, no siblings, no snapshots.
+        let none = explore(&runner, Bounds { max_preemptions: 0, ..Bounds::default() });
+        assert_eq!((none.stats.snapshots, none.stats.resumed), (0, 0));
     }
 
     #[test]

@@ -283,7 +283,7 @@ pub fn check_terminal(vm: &Vm) -> Vec<Violation> {
 /// One mirrored section layer: the undo-log length at entry and the
 /// first-overwritten (pre-section) value of every location logged while
 /// it was the innermost *recorded* layer.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Layer {
     mark_len: usize,
     expected: FxMap<Location, Value>,
@@ -291,8 +291,10 @@ struct Layer {
 
 /// Shared oracle state, read by the runner after the VM run finishes.
 /// The shadow maps are touched on every logged heap write, so they are
-/// keyed through the Fx hasher rather than SipHash.
-#[derive(Debug, Default)]
+/// keyed through the Fx hasher rather than SipHash. A clone taken
+/// between rounds, together with a fork of the VM, lets a run resume
+/// from that point with the rollback checks intact.
+#[derive(Clone, Debug, Default)]
 pub struct OracleState {
     /// Violations detected by the probe hooks.
     pub violations: Vec<Violation>,
@@ -318,7 +320,13 @@ pub struct Oracle {
 impl Oracle {
     /// A fresh oracle and its shared state handle.
     pub fn new() -> (Self, Arc<Mutex<OracleState>>) {
-        let state = Arc::new(Mutex::new(OracleState::default()));
+        Self::with_state(OracleState::default())
+    }
+
+    /// An oracle continuing from `state` (a clone taken when the VM it
+    /// checks was forked), and its shared state handle.
+    pub(crate) fn with_state(state: OracleState) -> (Self, Arc<Mutex<OracleState>>) {
+        let state = Arc::new(Mutex::new(state));
         (Oracle { state: state.clone() }, state)
     }
 }

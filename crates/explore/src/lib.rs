@@ -6,13 +6,18 @@
 //! at each yield point. This crate turns that choice into a search
 //! dimension:
 //!
-//! * [`Runner`] re-executes one program under one decision script,
+//! * [`Runner`] executes one program under one decision script,
 //!   fingerprinting the machine at every choice point and checking a
 //!   library of invariants ([`invariants`]) — monitor-header legality,
 //!   prioritized entry-queue order, undo-log restoration (via a
-//!   shadow-heap [`Oracle`]), and JMM-guard soundness.
+//!   shadow-heap [`Oracle`]), and JMM-guard soundness. Runs start from
+//!   a snapshot — a forked VM plus the oracle's shadow state — so the
+//!   program is built once and a run can resume where another one
+//!   branched off.
 //! * [`explore`] enumerates schedules exhaustively under an iterative
-//!   context bound with state-hash deduplication.
+//!   context bound with state-hash deduplication, resuming the siblings
+//!   of each choice point from one shared snapshot instead of replaying
+//!   their common prefix.
 //! * [`fuzz()`] samples the schedule space of programs too large to
 //!   enumerate, deterministically in a seed.
 //! * [`minimize`] delta-debugs a failing schedule down to a locally

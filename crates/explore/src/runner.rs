@@ -1,27 +1,41 @@
-//! Deterministic re-execution of one program under one decision script.
+//! Deterministic execution of one program under one decision script.
 //!
-//! The runner is the explorer's execution substrate: it builds a fresh VM
-//! for every schedule (stateless model checking — re-execution instead of
-//! checkpointing), installs a [`Scripted`] policy and the invariant
-//! [`Oracle`], then drives [`Vm::run_round`] one scheduling round at a
-//! time. Before each round with ≥ 2 queued threads it fingerprints the
-//! machine; if the round consumed a scheduling decision, that
-//! fingerprint identifies the choice point for deduplication. A round
-//! entered with fewer queued threads can still consume a decision (a
-//! sleeper woken inside the round joins the queue), and such a point is
-//! recorded with fingerprint `0`: it has no identity.
+//! The runner is the explorer's execution substrate. A run starts from a
+//! snapshot: a forked VM parked just before a scheduling round, together
+//! with a clone of the invariant [`Oracle`]'s shadow state and the
+//! choice points, violations and round count accumulated up to that
+//! round. The runner builds the program's root snapshot — the VM right
+//! after spawning the entry thread — once, on first use, and every
+//! [`Runner::run`] resumes from it, so no run rebuilds or re-verifies
+//! the program. The explorer also resumes runs from snapshots taken
+//! inside earlier runs instead of replaying their prefixes.
 //!
-//! [`Runner::run_until`] takes a stop hook, consulted after every
-//! recorded choice point; when it answers true the run ends there with
-//! [`Terminal::Cut`]. The explorer uses it to stop a schedule once it
-//! reaches a choice point whose default future it has already executed.
-//! [`Runner::run`] is the run that never stops early.
+//! Each run installs a [`Scripted`] policy for the rest of its script,
+//! then drives [`Vm::run_round`] one scheduling round at a time. Before
+//! each round with ≥ 2 queued threads it fingerprints the machine; if
+//! the round consumed a scheduling decision, that fingerprint
+//! identifies the choice point for deduplication. A round entered with
+//! fewer queued threads can still consume a decision (a sleeper woken
+//! inside the round joins the queue), and such a point is recorded with
+//! fingerprint `0`: it has no identity.
+//!
+//! The explorer steers its runs with hooks: consulted before every
+//! fingerprinted round, they may ask for a snapshot of the machine there
+//! (kept if the round consumes a decision, and handed back with the
+//! outcome); consulted after every recorded choice point, they may end
+//! the run there with [`Terminal::Cut`]. It uses them to share one
+//! snapshot among all siblings of a choice point and to stop a schedule
+//! once it reaches a choice point whose default future it has already
+//! executed. [`Runner::run`] takes no snapshots and never stops early.
 
 use crate::invariants::{check_state, check_terminal, Oracle, OracleState, Violation};
 use revmon_vm::bytecode::{MethodId, Program};
 use revmon_vm::value::Value;
-use revmon_vm::{DecisionRecord, RoundOutcome, Scripted, Vm, VmConfig, VmError};
-use std::sync::{Arc, Mutex};
+use revmon_vm::{
+    DecisionRecord, RoundOutcome, SchedulePolicy, SchedulerKind, Scripted, Vm, VmConfig, VmError,
+};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// How a scripted run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,9 +51,9 @@ pub enum Terminal {
     CheckFailed,
     /// The VM faulted.
     Fault(String),
-    /// The stop hook of [`Runner::run_until`] ended the run at its last
-    /// recorded choice point; the final-state fields describe the
-    /// machine just after that point's round.
+    /// The explorer's stop hook ended the run at its last recorded
+    /// choice point; the final-state fields describe the machine just
+    /// after that point's round.
     Cut,
 }
 
@@ -106,6 +120,81 @@ impl RunOutcome {
     }
 }
 
+/// A machine state a run can resume from: the VM parked just before a
+/// scheduling round, the oracle's shadow state at that instant, and what
+/// the drive loop had accumulated by then. Immutable once taken; runs
+/// resuming from it fork its VM, except the last holder of an
+/// [`Rc`]-shared snapshot, which takes it over.
+pub(crate) struct Snapshot {
+    vm: Vm,
+    oracle: OracleState,
+    /// The choice points passed before this round are the first
+    /// `decided` of `history` (shared by every snapshot of one run).
+    history: Rc<[DecisionPoint]>,
+    decided: usize,
+    violations: Vec<Violation>,
+    rounds: u64,
+}
+
+impl Snapshot {
+    /// An independent copy, for a run to resume from while others still
+    /// hold this one.
+    fn duplicate(&self) -> Snapshot {
+        Snapshot {
+            vm: self.vm.fork(parked(), None),
+            oracle: self.oracle.clone(),
+            history: Rc::clone(&self.history),
+            decided: self.decided,
+            violations: self.violations.clone(),
+            rounds: self.rounds,
+        }
+    }
+
+    /// Choice points passed before the round this snapshot precedes —
+    /// the length of script a run resuming here skips.
+    pub(crate) fn decided(&self) -> usize {
+        self.decided
+    }
+}
+
+impl std::fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("decided", &self.decided)
+            .field("rounds", &self.rounds)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The policy a snapshot's VM holds until a run resumes it under its
+/// own script.
+fn parked() -> Box<dyn SchedulePolicy> {
+    SchedulerKind::RoundRobin.policy()
+}
+
+/// Steering for one run (see the module docs).
+pub(crate) trait Hooks {
+    /// Before a round entered with ≥ 2 queued threads whose machine
+    /// fingerprints to `fingerprint`: whether to snapshot the machine
+    /// here, for runs that take a different decision in this round.
+    fn snapshot(&mut self, fingerprint: u64) -> bool;
+
+    /// After a choice point is recorded: whether to end the run there.
+    fn stop(&mut self, point: &DecisionPoint) -> bool;
+}
+
+/// [`Hooks`] of a plain run: no snapshot, no early stop.
+struct Unsteered;
+
+impl Hooks for Unsteered {
+    fn snapshot(&mut self, _fingerprint: u64) -> bool {
+        false
+    }
+    fn stop(&mut self, _point: &DecisionPoint) -> bool {
+        false
+    }
+}
+
 /// A reusable harness: program + entry + base configuration.
 #[derive(Clone, Debug)]
 pub struct Runner {
@@ -113,6 +202,9 @@ pub struct Runner {
     entry: MethodId,
     entry_name: String,
     config: VmConfig,
+    /// The machine right after spawning the entry thread, built on
+    /// first use. It depends on nothing but the fields above.
+    root: OnceCell<Rc<Snapshot>>,
     /// Hard cap on scheduling rounds per run (0 = unlimited). Guards the
     /// explorer against schedules that diverge.
     pub max_rounds: u64,
@@ -139,6 +231,7 @@ impl Runner {
             entry,
             entry_name: entry_name.to_string(),
             config,
+            root: OnceCell::new(),
             max_rounds: 1_000_000,
             check_every_round: true,
         })
@@ -159,43 +252,72 @@ impl Runner {
         &self.program
     }
 
+    /// The snapshot every run from the start resumes from: the VM built
+    /// (rewritten, verified) with the entry thread spawned, before its
+    /// first round.
+    pub(crate) fn root(&self) -> Rc<Snapshot> {
+        Rc::clone(self.root.get_or_init(|| {
+            let mut vm = Vm::new(self.program.clone(), self.config);
+            vm.spawn(&self.entry_name, self.entry, vec![], revmon_core::Priority::NORM);
+            Rc::new(Snapshot {
+                vm,
+                oracle: OracleState::default(),
+                history: Rc::new([]),
+                decided: 0,
+                violations: Vec::new(),
+                rounds: 0,
+            })
+        }))
+    }
+
     /// Execute the program once under `script`, collecting decisions,
     /// fingerprints and violations.
     pub fn run(&self, script: &[u32]) -> RunOutcome {
-        self.run_until(script, |_| false)
+        self.resume(self.root(), script, &mut Unsteered).0
     }
 
-    /// [`run`](Self::run), but consult `stop` with every choice point as
-    /// it is recorded and end the run with [`Terminal::Cut`] as soon as
-    /// it answers true.
-    pub fn run_until(
+    /// Run `script` starting from `from`, whose first
+    /// [`decided`](Snapshot::decided) choice points must be the script's
+    /// own (they are skipped, not replayed). The outcome is the one
+    /// a run from the root would give; alongside it come the
+    /// snapshots `hooks` asked for, each with the index of the choice
+    /// point whose round it precedes, in run order. If `from` is its
+    /// last holder the run takes its machine over instead of forking it.
+    pub(crate) fn resume(
         &self,
+        from: Rc<Snapshot>,
         script: &[u32],
-        stop: impl FnMut(&DecisionPoint) -> bool,
-    ) -> RunOutcome {
-        let mut vm = Vm::new(self.program.clone(), self.config);
-        let (policy, log) = Scripted::new(script.to_vec());
+        hooks: &mut impl Hooks,
+    ) -> (RunOutcome, Vec<(usize, Rc<Snapshot>)>) {
+        debug_assert!(
+            from.history[..from.decided]
+                .iter()
+                .map(|d| d.record.chosen)
+                .eq(script.iter().copied().take(from.decided)),
+            "the snapshot's decisions must be the script's prefix"
+        );
+        let (policy, log) = Scripted::new(script.get(from.decided..).unwrap_or(&[]).to_vec());
+        let Snapshot { mut vm, oracle, history, decided, mut violations, mut rounds } =
+            Rc::try_unwrap(from).unwrap_or_else(|shared| shared.duplicate());
+        let (oracle, oracle_state) = Oracle::with_state(oracle);
         vm.set_schedule_policy(Box::new(policy));
-        let (oracle, oracle_state) = Oracle::new();
         vm.attach_probe(Box::new(oracle));
-        vm.spawn(&self.entry_name, self.entry, vec![], revmon_core::Priority::NORM);
-        self.drive(vm, log, oracle_state, stop)
-    }
+        let mut decisions = history[..decided].to_vec();
 
-    fn drive(
-        &self,
-        mut vm: Vm,
-        log: revmon_vm::sched::ScriptLog,
-        oracle_state: Arc<Mutex<OracleState>>,
-        mut stop: impl FnMut(&DecisionPoint) -> bool,
-    ) -> RunOutcome {
-        let mut decisions: Vec<DecisionPoint> = Vec::new();
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut rounds: u64 = 0;
+        // Snapshots taken so far, still waiting for the run's history.
+        let mut taken: Vec<(usize, Snapshot)> = Vec::new();
         let terminal = loop {
             // A round can only consume a decision when ≥ 2 threads are
             // queued; skip the (expensive) fingerprint otherwise.
             let fingerprint = if vm.run_queue_len() >= 2 { vm.state_fingerprint() } else { 0 };
+            let snapshot = (fingerprint != 0 && hooks.snapshot(fingerprint)).then(|| Snapshot {
+                vm: vm.fork(parked(), None),
+                oracle: oracle_state.lock().expect("oracle state").clone(),
+                history: Rc::new([]), // the run's, once it ends
+                decided: decisions.len(),
+                violations: violations.clone(),
+                rounds,
+            });
             let consumed_before = log.lock().expect("script log").len();
             match vm.run_round() {
                 Ok(RoundOutcome::Done) => break Terminal::Completed,
@@ -213,6 +335,9 @@ impl Runner {
                 })
             };
             if let Some(dp) = decided {
+                // A snapshot is only worth keeping before a round that
+                // decided something: other runs decide differently here.
+                taken.extend(snapshot.map(|s| (decisions.len(), s)));
                 decisions.push(dp);
             }
             if self.check_every_round {
@@ -223,7 +348,7 @@ impl Runner {
                 }
             }
             rounds += 1;
-            if decided.is_some_and(|dp| stop(&dp)) {
+            if decided.is_some_and(|dp| hooks.stop(&dp)) {
                 break Terminal::Cut;
             }
             if self.max_rounds != 0 && rounds >= self.max_rounds {
@@ -239,12 +364,17 @@ impl Runner {
         let st = oracle_state.lock().expect("oracle state");
         violations.extend(st.violations.iter().cloned());
 
+        let history: Rc<[DecisionPoint]> = Rc::from(&decisions[..]);
+        let snapshots = taken
+            .into_iter()
+            .map(|(at, snap)| (at, Rc::new(Snapshot { history: Rc::clone(&history), ..snap })))
+            .collect();
         let statics = (0..vm.heap().static_count())
             .map(|i| {
                 vm.heap().read(revmon_vm::heap::Location::Static(i as u32)).unwrap_or(Value::Null)
             })
             .collect();
-        RunOutcome {
+        let outcome = RunOutcome {
             decisions,
             terminal,
             fingerprint: vm.state_fingerprint(),
@@ -256,10 +386,10 @@ impl Runner {
             clock: vm.clock(),
             heap_fingerprint: vm.heap_fingerprint(),
             ipis: (vm.ipis_posted(), vm.ipis_acked(), vm.ipis_stale()),
-        }
+        };
+        (outcome, snapshots)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,8 +69,7 @@ pub fn write_events_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<(
         } else {
             ev.monitor.to_string()
         };
-        let core =
-            if ev.core == 0 { String::new() } else { format!(",\"core\":{}", ev.core) };
+        let core = if ev.core == 0 { String::new() } else { format!(",\"core\":{}", ev.core) };
         writeln!(
             w,
             "{{\"ts\":{},\"thread\":{},\"monitor\":{}{},\"kind\":\"{}\"{}}}",

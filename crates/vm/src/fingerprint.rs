@@ -152,9 +152,8 @@ impl Vm {
             }
             hash_snapshot(&t.pending_snapshot, &mut h);
 
-            let entries = t.undo.since(origin_mark());
-            entries.len().hash(&mut h);
-            for e in entries {
+            t.undo.len().hash(&mut h);
+            for e in t.undo.since(origin_mark()) {
                 e.loc.hash(&mut h);
                 e.old.hash(&mut h);
             }

@@ -60,7 +60,7 @@ pub struct StaticSlot {
 }
 
 /// The heap: object store + static table.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Heap {
     objects: Vec<Object>,
     statics: Vec<StaticSlot>,

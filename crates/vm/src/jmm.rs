@@ -48,7 +48,7 @@ pub struct SpeculativeWrite {
 }
 
 /// The read-barrier map.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct JmmGuard {
     map: HashMap<Location, SpeculativeWrite>,
 }

@@ -27,7 +27,7 @@ pub struct DelegatedCall {
 }
 
 /// Runtime state of one monitor.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MonitorState {
     /// Current owner.
     pub owner: Option<ThreadId>,
@@ -93,7 +93,7 @@ impl MonitorState {
 /// Backed by an *ordered* map: the background inversion scanner and the
 /// state fingerprinter iterate it, and both must see a deterministic
 /// order for runs to be bit-exact replayable.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MonitorTable {
     monitors: BTreeMap<ObjRef, MonitorState>,
     discipline: QueueDiscipline,

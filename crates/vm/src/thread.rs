@@ -156,7 +156,7 @@ pub enum ThreadState {
 }
 
 /// A green thread.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct VmThread {
     /// Identity.
     pub id: ThreadId,

@@ -27,6 +27,7 @@ use revmon_core::{
     Metrics, Priority, QueueDiscipline, ThreadId, WaitsForGraph,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 pub use crate::sched::SchedulerKind;
 
@@ -195,7 +196,7 @@ impl Default for VmConfig {
 }
 
 /// Per-thread results.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThreadReport {
     /// Thread identity.
     pub id: ThreadId,
@@ -222,7 +223,7 @@ impl ThreadReport {
 }
 
 /// Per-monitor results.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MonitorReport {
     /// The monitor object.
     pub object: crate::value::ObjRef,
@@ -235,7 +236,7 @@ pub struct MonitorReport {
 }
 
 /// Whole-run results.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Final virtual-clock value.
     pub clock: u64,
@@ -356,7 +357,7 @@ pub(crate) struct Ipi {
 
 /// One simulated core: a private run queue plus the IPI mailbox other
 /// cores post cross-core revocation requests into.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct CoreState {
     /// Ready threads pinned to this core, in arrival order.
     pub(crate) run_queue: VecDeque<ThreadId>,
@@ -370,8 +371,8 @@ pub(crate) struct CoreState {
 
 /// The virtual machine.
 pub struct Vm {
-    /// The (possibly rewritten) program.
-    pub(crate) program: Program,
+    /// The (possibly rewritten) program, shared with every fork.
+    pub(crate) program: Arc<Program>,
     pub(crate) heap: Heap,
     pub(crate) monitors: MonitorTable,
     pub(crate) threads: Vec<VmThread>,
@@ -405,9 +406,10 @@ pub struct Vm {
     pub(crate) trace: Vec<TraceRecord>,
     /// Optional observability sink; trace events are forwarded into it
     /// (virtual-clock timestamps) independently of `config.trace`.
-    pub(crate) sink: Option<std::sync::Arc<revmon_obs::EventSink>>,
-    /// Static write-barrier elision table (when `elide_barriers`).
-    pub(crate) elision: Option<crate::analysis::ElisionTable>,
+    pub(crate) sink: Option<Arc<revmon_obs::EventSink>>,
+    /// Static write-barrier elision table (when `elide_barriers`),
+    /// shared with every fork.
+    pub(crate) elision: Option<Arc<crate::analysis::ElisionTable>>,
     /// Threads blocked in `Join`, keyed by the thread they wait for.
     /// Ordered map: wake-up processing must be deterministic.
     pub(crate) join_waiters: std::collections::BTreeMap<ThreadId, Vec<ThreadId>>,
@@ -470,10 +472,10 @@ impl Vm {
             DetectionStrategy::Background { period } => period,
             DetectionStrategy::AtAcquisition => u64::MAX,
         };
-        let elision = config.elide_barriers.then(|| crate::analysis::analyze(&program));
+        let elision = config.elide_barriers.then(|| Arc::new(crate::analysis::analyze(&program)));
         let n_cores = config.cores.max(1);
         Vm {
-            program,
+            program: Arc::new(program),
             heap,
             monitors: MonitorTable::new(config.queue_discipline),
             threads: Vec::new(),
@@ -508,6 +510,55 @@ impl Vm {
         }
     }
 
+    /// An independent copy of the machine, continuing under `policy`
+    /// with `probe` attached. Everything that determines the rest of the
+    /// run is copied — heap, threads with their undo logs, monitors,
+    /// run queues, clock, RNG, governor, recorded trace — so the fork
+    /// and the original, driven by equal policies, execute identically.
+    /// The program and the elision table are shared, and so are the undo
+    /// logs' frozen chunks (see [`revmon_core::UndoLog`]). The obs sink is
+    /// not carried over: attach one to the fork if it should report.
+    pub fn fork(
+        &self,
+        policy: Box<dyn SchedulePolicy>,
+        probe: Option<Box<dyn crate::probe::Probe>>,
+    ) -> Vm {
+        Vm {
+            program: Arc::clone(&self.program),
+            heap: self.heap.clone(),
+            monitors: self.monitors.clone(),
+            threads: self.threads.clone(),
+            cores: self.cores.clone(),
+            current_core: self.current_core,
+            active_core: self.active_core,
+            ipis_posted: self.ipis_posted,
+            ipis_acked: self.ipis_acked,
+            ipis_stale: self.ipis_stale,
+            clock: self.clock,
+            quantum_left: self.quantum_left,
+            rng: self.rng.clone(),
+            jmm: self.jmm.clone(),
+            graph: self.graph.clone(),
+            config: self.config,
+            global: self.global,
+            next_acq_id: self.next_acq_id,
+            output: self.output.clone(),
+            last_dispatched: self.last_dispatched,
+            steps: self.steps,
+            next_background_scan: self.next_background_scan,
+            trace: self.trace.clone(),
+            sink: None,
+            elision: self.elision.clone(),
+            join_waiters: self.join_waiters.clone(),
+            policy,
+            probe,
+            rng_draws: self.rng_draws,
+            governor: self.governor.clone(),
+            next_token: self.next_token,
+            delegation_results: self.delegation_results.clone(),
+        }
+    }
+
     /// Replace the scheduling policy (e.g. with a
     /// [`Scripted`](crate::sched::Scripted) replay policy). The built-in
     /// policies come from `config.scheduler`.
@@ -517,7 +568,7 @@ impl Vm {
 
     /// The barrier-elision table, if the analysis ran (diagnostics).
     pub fn elision_table(&self) -> Option<&crate::analysis::ElisionTable> {
-        self.elision.as_ref()
+        self.elision.as_deref()
     }
 
     /// The rewritten program actually executing (for tests inspecting
@@ -622,12 +673,12 @@ impl Vm {
     /// is forwarded to it as a [`revmon_obs::Event`] stamped with the
     /// virtual clock — use [`revmon_obs::TsUnit::VirtualTicks`] when
     /// constructing the sink. Works independently of `config.trace`.
-    pub fn attach_sink(&mut self, sink: std::sync::Arc<revmon_obs::EventSink>) {
+    pub fn attach_sink(&mut self, sink: Arc<revmon_obs::EventSink>) {
         self.sink = Some(sink);
     }
 
     /// Detach and return the sink, if one was attached.
-    pub fn detach_sink(&mut self) -> Option<std::sync::Arc<revmon_obs::EventSink>> {
+    pub fn detach_sink(&mut self) -> Option<Arc<revmon_obs::EventSink>> {
         self.sink.take()
     }
 
@@ -786,10 +837,8 @@ impl Vm {
                 base_priority: threads[tid.index()].base_priority,
             })
             .collect();
-        let ctx = SchedContext {
-            last_dispatched: self.cores[core].last_dispatched,
-            clock: self.clock,
-        };
+        let ctx =
+            SchedContext { last_dispatched: self.cores[core].last_dispatched, clock: self.clock };
         let idx = self.policy.choose(&candidates, &ctx).min(candidates.len() - 1);
         self.cores[core].run_queue.remove(idx)
     }
